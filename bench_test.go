@@ -231,22 +231,17 @@ func BenchmarkAblationPhaseSpectral(b *testing.B) {
 	benchEnvelope(b, false, 60e-6, 400, core.EnvelopeOptions{Trap: true, Phase: core.PhaseSpectralImag})
 }
 
-// Linear solver: GMRES + block-Jacobi (the paper's iterative path) vs LU.
-func BenchmarkAblationGMRES(b *testing.B) {
-	benchEnvelope(b, false, 60e-6, 400, core.EnvelopeOptions{Trap: true, Linear: core.LinearGMRES})
-}
-
 // Chord-Newton cross-step factorization reuse vs the per-step default.
 func BenchmarkAblationChordNewton(b *testing.B) {
 	benchEnvelope(b, false, 60e-6, 400, core.EnvelopeOptions{Trap: true, ChordNewton: true})
 }
 
 // Krylov recycling (GCRO-DR deflation carried across chord-Newton GMRES
-// solves) vs BenchmarkAblationGMRES; TestRecycleReducesMatvecs pins the
-// matvec reduction, this measures the wall-clock side.
-func BenchmarkAblationGMRESRecycle(b *testing.B) {
+// solves) on the matrix-free path; TestRecycleReducesMatvecs pins the matvec
+// reduction, this measures the wall-clock side.
+func BenchmarkAblationMatrixFreeRecycle(b *testing.B) {
 	benchEnvelope(b, false, 60e-6, 400, core.EnvelopeOptions{
-		Trap: true, Linear: core.LinearGMRES, ChordNewton: true, RecycleKrylov: true,
+		Trap: true, Linear: core.LinearMatrixFree, ChordNewton: true, RecycleKrylov: true,
 	})
 }
 
@@ -266,17 +261,18 @@ func BenchmarkHotLoopAllocs(b *testing.B) {
 	benchEnvelope(b, false, 60e-6, 400, core.EnvelopeOptions{Trap: true})
 }
 
-// BenchmarkGMRESAllocs is the iterative-path counterpart: the same Fig. 7
-// envelope solved through the supervised linear ladder (GMRES + harmonic
-// preconditioner, pooled Krylov workspaces). With the Arnoldi basis, Givens
-// scratch and the ladder's LU rung all persisting across solves, the
-// allocs/op count pins the pooling — a leak in any per-solve buffer shows up
-// as a baseline regression in `ci.sh bench-check`.
-func BenchmarkGMRESAllocs(b *testing.B) {
+// BenchmarkMatrixFreeAllocs is the iterative-path counterpart: the same
+// Fig. 7 envelope solved through the supervised linear ladder on the
+// matrix-free operator (GMRES + harmonic preconditioner, pooled Krylov
+// workspaces). With the Arnoldi basis, Givens scratch and the ladder's
+// sparse-LU rung all persisting across solves, the allocs/op count pins the
+// pooling — a leak in any per-solve buffer shows up as a baseline regression
+// in `ci.sh bench-check`.
+func BenchmarkMatrixFreeAllocs(b *testing.B) {
 	prev := par.SetWorkers(1)
 	defer par.SetWorkers(prev)
 	b.ReportAllocs()
-	benchEnvelope(b, false, 60e-6, 400, core.EnvelopeOptions{Trap: true, Linear: core.LinearGMRES})
+	benchEnvelope(b, false, 60e-6, 400, core.EnvelopeOptions{Trap: true, Linear: core.LinearMatrixFree})
 }
 
 // ------------------------------------------------------- method baselines

@@ -115,7 +115,7 @@ cd "$(dirname "$0")"
 
 tier="${1:-all}"
 benchfile="${2:-BENCH_pr4.json}"
-benchre='BenchmarkFig07VCOEnvelopeVacuum$|BenchmarkAblationChordNewton$|BenchmarkAblationGMRESRecycle$|BenchmarkQuasiperiodicWaMPDE$|BenchmarkHotLoopAllocs$|BenchmarkGMRESAllocs$'
+benchre='BenchmarkFig07VCOEnvelopeVacuum$|BenchmarkAblationChordNewton$|BenchmarkAblationMatrixFreeRecycle$|BenchmarkQuasiperiodicWaMPDE$|BenchmarkHotLoopAllocs$|BenchmarkMatrixFreeAllocs$'
 
 if [ "$tier" = 1 ] || [ "$tier" = all ]; then
 	echo "== tier 1: build + tests"

@@ -119,12 +119,12 @@ func TestChordNewtonReducesFactorizations(t *testing.T) {
 }
 
 // TestRecycleReducesMatvecs checks the Krylov-recycling acceptance criteria on
-// the Fig. 7 GMRES pipeline (ChordNewton on, the cmd-driver configuration):
-// carrying the GCRO-DR deflation space across solves must strictly cut the
-// total matvec count, leave the Newton trajectory untouched (every solve still
-// converges to GMRESTol, so the recycled run is the same computation with
-// cheaper linear algebra), and reproduce the frequency envelope to well within
-// the Newton tolerance.
+// the Fig. 7 matrix-free pipeline (ChordNewton on, the cmd-driver
+// configuration under -matfree): carrying the GCRO-DR deflation space across
+// solves must strictly cut the total matvec count, leave the Newton
+// trajectory untouched (every solve still converges to GMRESTol, so the
+// recycled run is the same computation with cheaper linear algebra), and
+// reproduce the frequency envelope to well within the Newton tolerance.
 func TestRecycleReducesMatvecs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode: skipping envelope runs")
@@ -134,7 +134,7 @@ func TestRecycleReducesMatvecs(t *testing.T) {
 	const t2End = 60e-6
 	base := core.EnvelopeOptions{
 		N1: 25, H2: t2End / 400, Trap: true,
-		Linear: core.LinearGMRES, ChordNewton: true,
+		Linear: core.LinearMatrixFree, ChordNewton: true,
 	}
 	recOpt := base
 	recOpt.RecycleKrylov = true

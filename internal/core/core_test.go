@@ -183,25 +183,6 @@ func TestEnvelopePhaseConditionsAgree(t *testing.T) {
 	}
 }
 
-func TestEnvelopeGMRESMatchesDense(t *testing.T) {
-	T2 := 60.0
-	sys := testVCO(T2)
-	xhat0, omega0 := solveIC(t, sys, 21)
-	dense, err := Envelope(sys, xhat0, omega0, T2/4, EnvelopeOptions{N1: 21, H2: T2 / 200})
-	if err != nil {
-		t.Fatal(err)
-	}
-	gm, err := Envelope(sys, xhat0, omega0, T2/4, EnvelopeOptions{N1: 21, H2: T2 / 200, Linear: LinearGMRES})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for k := range dense.Omega {
-		if math.Abs(dense.Omega[k]-gm.Omega[k]) > 1e-5*dense.Omega[k] {
-			t.Fatalf("GMRES ω diverges from dense at step %d: %v vs %v", k, gm.Omega[k], dense.Omega[k])
-		}
-	}
-}
-
 func TestEnvelopeDAEConsistency(t *testing.T) {
 	// Eq. (14)-(15): the reconstructed x(t) satisfies the original DAE.
 	// Check d/dt q(x(t)) + f(x(t),u(t)) ≈ 0 by central differences.

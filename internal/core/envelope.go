@@ -30,13 +30,10 @@ const (
 	// LinearDenseLU assembles the dense bordered Jacobian and factors it
 	// (the right default at the paper's problem sizes).
 	LinearDenseLU LinearKind = iota
-	// LinearGMRES solves the Jacobian system with restarted GMRES and a
-	// block-Jacobi preconditioner — the paper's §1/§4 "iterative linear
-	// techniques [Saa96]" path for large systems.
-	LinearGMRES
-	// LinearMatrixFree solves the Jacobian system with GMRESDR applied to a
-	// matrix-free operator (core.SpectralOp): the spectral-differentiation
-	// term runs through the cached FFT plans and the device Jacobians apply
+	// LinearMatrixFree is the paper's §1/§4 "iterative linear techniques
+	// [Saa96]" path for large systems: GMRESDR applied to a matrix-free
+	// operator (core.SpectralOp). The spectral-differentiation term runs
+	// through the cached FFT plans and the device Jacobians apply
 	// block-diagonally per collocation point, so the (N1·n+1)² matrix is
 	// never formed and per-iteration cost is near-linear in circuit size.
 	// The direct-rescue rung of the supervision ladder assembles the same
@@ -86,15 +83,14 @@ type EnvelopeOptions struct {
 	// factorizations and the recycled GMRES harmonic preconditioner are
 	// rebuilt. Default 0.02.
 	OmegaDriftTol float64
-	// RecycleKrylov (LinearGMRES only) carries a GCRO-DR deflation space
+	// RecycleKrylov (LinearMatrixFree only) carries a GCRO-DR deflation space
 	// across the step solver's GMRES calls: harmonic Ritz vectors harvested
 	// from one solve deflate the slow modes of the next, cutting matvecs
 	// while the linearization holds still — within a step's Newton
 	// iterations, and across steps under ChordNewton's reuse windows. The
 	// space is discarded at every Jacobian refresh and harmonic-
 	// preconditioner rebuild (the ω-drift gate), since either redefines the
-	// preconditioned operator it was harvested from. Off by default: the
-	// historical GMRES path the golden suite pins down.
+	// preconditioned operator it was harvested from. Off by default.
 	RecycleKrylov bool
 	// Ctx, when non-nil, makes the run cancelable: it is checked before every
 	// t2 step and once per Newton iteration inside a step. On cancellation
@@ -104,9 +100,9 @@ type EnvelopeOptions struct {
 	Ctx context.Context
 	// Warm, when non-nil, is the sweep continuation carrier. On entry a
 	// compatible envelope payload is adopted: the chord LU factors (dense-LU
-	// path, with ChordNewton) or the harmonic preconditioner (GMRES path)
-	// from the neighboring parameter point, plus the GMRESDR deflation space
-	// via krylov.Recycler.Handoff — the handed-off space runs untrusted, so
+	// path, with ChordNewton) or the harmonic preconditioner (matrix-free
+	// path) from the neighboring parameter point, plus the GMRESDR deflation
+	// space via krylov.Recycler.Handoff — the handed-off space runs untrusted, so
 	// per-cycle true-residual verification guards the cross-point staleness,
 	// and the usual drift gates (ChordContraction, OmegaDriftTol) retire the
 	// carried factors the moment they stop paying. A warm run also starts
@@ -233,7 +229,7 @@ func Envelope(sys dae.Autonomous, xhat0 []float64, omega0, t2End float64, opt En
 		res.GMRESBreakdowns = asm.linStats.breakdowns
 		res.LinearGMRESRescues = asm.linStats.gmresRescues
 		res.LinearLURescues = asm.linStats.luRescues
-		res.LinearSparseLURescues = asm.linStats.sparseRescues
+		res.LinearSparseLURescues = asm.linStats.luRescues
 		res.FullNewtonRescues = asm.nlStats.fullRescues
 		res.DampedNewtonRescues = asm.nlStats.deepRescues
 		res.ContinuationRescues = asm.nlStats.continuationRescues
@@ -422,26 +418,26 @@ func envelopeLTE(xOld, xNew, xPrev []float64, omegaOld, omegaNew, omegaPrev,
 // and for trapezoidal t2 integration the ω·D·q and f terms are averaged
 // between the two time levels.
 type envAssembler struct {
-	sys    dae.Autonomous
-	n1     int
-	n      int
-	k      int
-	w      []float64 // phase-row weights
-	c      float64
-	opt    EnvelopeOptions
-	d      []float64 // spectral differentiation matrix (period 1)
-	u      []float64
+	sys dae.Autonomous
+	n1  int
+	n   int
+	k   int
+	w   []float64 // phase-row weights
+	c   float64
+	opt EnvelopeOptions
+	d   []float64 // spectral differentiation matrix (period 1)
+	u   []float64
 	// Per-collocation-point inputs (opt.input2 mode): us holds n1 slots of
 	// NumInputs values each, filled at the point's fast phase; usStart/usEnd
 	// are the continuation-rung blending scratch mirroring uStart/uEnd.
 	// usAtFactor snapshots us at the last Jacobian factorization — the
 	// input-drift gate for cross-step chord reuse (see step).
 	us, usStart, usEnd, usAtFactor []float64
-	qPrev  []float64 // q at the previous time level
-	rhsOld []float64 // ω·D·q + f at the previous level (Trap)
-	scale  []float64 // per-row residual scales
-	jq     *la.Dense
-	jf     *la.Dense
+	qPrev                          []float64 // q at the previous time level
+	rhsOld                         []float64 // ω·D·q + f at the previous level (Trap)
+	scale                          []float64 // per-row residual scales
+	jq                             *la.Dense
+	jf                             *la.Dense
 
 	// Per-point device Jacobians, filled in parallel during assembly.
 	jqs []*la.Dense
@@ -537,7 +533,7 @@ func newEnvAssembler(sys dae.Autonomous, n1, n, k int, w []float64, c float64, o
 		a.jj = la.NewDense(n1*n+1, n1*n+1)
 		a.lu = la.NewLU(n1*n + 1)
 	}
-	if opt.RecycleKrylov && (opt.Linear == LinearGMRES || opt.Linear == LinearMatrixFree) {
+	if opt.RecycleKrylov && opt.Linear == LinearMatrixFree {
 		if opt.Warm != nil && opt.Warm.Rec != nil && opt.Warm.Rec.Size() > 0 {
 			// Cross-point handoff: keep the neighbor's deflation space but run
 			// it untrusted (true-residual verification) for this whole solve;
@@ -564,7 +560,7 @@ func newEnvAssembler(sys dae.Autonomous, n1, n, k int, w []float64, c float64, o
 			a.lastH, a.lastTheta, a.omegaAtFactor = ec.lastH, ec.lastTheta, ec.omegaAtFactor
 		}
 		if ec.prec != nil {
-			// GMRES-path carry: the harmonic preconditioner is reused while ω
+			// Matrix-free carry: the harmonic preconditioner is reused while ω
 			// stays inside OmegaDriftTol of where it was factored.
 			a.prec = ec.prec
 			a.precH, a.precTheta, a.precOmega = ec.precH, ec.precTheta, ec.precOmega
@@ -856,12 +852,23 @@ func (a *envAssembler) step(t2, h float64, xOld []float64, omegaOld float64, xNe
 		if a.opt.Linear == LinearMatrixFree {
 			// Matrix-free linearization: refresh the operator's snapshots and
 			// device-Jacobian slots — no (N1·n+1)² assembly, no factorization.
-			// The harmonic preconditioner works unchanged (it only ever reads
-			// the averaged per-point blocks), and the ladder's direct rescue
-			// assembles sparsely from the same slots.
+			// The harmonic preconditioner only ever reads the averaged
+			// per-point blocks, and the ladder's direct rescue assembles
+			// sparsely from the same slots.
 			op := a.matFreeOpFor(z, h, theta)
 			a.omegaAtFactor = z[n1*n]
 			a.snapInputs()
+			// A fresh linearization invalidates the Krylov recycler: its
+			// carried space is exact only for the operator it was harvested
+			// from, and the deflation directions amplify like 1/θ_min, so even
+			// a small Jacobian drift can turn them harmful. Newton's
+			// factorization-reuse windows (within a step, and across steps in
+			// ChordNewton mode) are where the operator holds still and the
+			// space earns its keep. The one exception is a deflation space
+			// handed off from a neighboring sweep point: it survives its first
+			// linearization here under true-residual verification (Handoff
+			// dropped Trusted), which is exactly the window where cross-point
+			// recycling pays.
 			if a.adoptedRec {
 				a.adoptedRec = false
 			} else {
@@ -871,44 +878,16 @@ func (a *envAssembler) step(t2, h float64, xOld []float64, omegaOld float64, xNe
 			if err != nil {
 				return nil, err
 			}
-			a.lad.resetMatrixFree(op, prec, op.assembleSparse)
+			a.lad.reset(op, prec, op.assembleSparse)
 			return a.lad, nil
 		}
 		jj := a.assembleJacobian(z, h, theta)
 		a.omegaAtFactor = z[n1*n]
 		a.snapInputs()
-		// A fresh linearization invalidates the Krylov recycler: its carried
-		// space is exact only for the operator it was harvested from, and the
-		// deflation directions amplify like 1/θ_min, so even a small Jacobian
-		// drift can turn them harmful. Newton's factorization-reuse windows
-		// (within a step, and across steps in ChordNewton mode) are where the
-		// operator holds still and the space earns its keep. The one
-		// exception is a deflation space handed off from a neighboring sweep
-		// point: it survives its first linearization here under true-residual
-		// verification (Handoff dropped Trusted), which is exactly the window
-		// where cross-point recycling pays.
-		if a.adoptedRec {
-			a.adoptedRec = false
-		} else {
-			a.rec.Invalidate()
+		if err := a.lu.FactorInto(jj); err != nil {
+			return nil, err
 		}
-		switch a.opt.Linear {
-		case LinearGMRES:
-			// Harmonic (averaged-Jacobian, block-circulant) preconditioner:
-			// the frequency-domain workhorse that makes the iterative path
-			// scale — see internal/core/precond.go.
-			prec, err := a.harmonicPrecFor(z[:n1*n], z[n1*n], h, theta)
-			if err != nil {
-				return nil, err
-			}
-			a.lad.reset(jj, prec)
-			return a.lad, nil
-		default:
-			if err := a.lu.FactorInto(jj); err != nil {
-				return nil, err
-			}
-			return a.lu, nil
-		}
+		return a.lu, nil
 	}
 	// Modified Newton: the Jacobian changes little within one t2 step, so
 	// factor once and reuse the factors across iterations — and, in

@@ -366,4 +366,7 @@ func TestFaultLinearSparseLURescueMatrixFree(t *testing.T) {
 	if res.GMRESStagnations != 2 {
 		t.Fatalf("GMRESStagnations = %d, want 2", res.GMRESStagnations)
 	}
+	if res.FullNewtonRescues != 0 {
+		t.Fatalf("FullNewtonRescues = %d, want 0 (the linear ladder must absorb the failure)", res.FullNewtonRescues)
+	}
 }

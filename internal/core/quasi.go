@@ -28,19 +28,17 @@ type QPOptions struct {
 	// Newton iteration from a possibly rough guess, where fresh Jacobians
 	// buy robustness.
 	ChordNewton bool
-	// Linear selects the inner linear solver. LinearGMRES replaces the
-	// global dense LU (O((N1·N2·n)³) per factorization) with restarted
-	// GMRES over a block-Jacobi preconditioner whose blocks are the
-	// per-t2-line systems — the scalable path for fine grids.
-	// LinearMatrixFree goes further: the global Jacobian is never assembled
-	// at all — GMRESDR applies it through the spectral-differentiation FFT
-	// plans and the per-point device blocks (see SpectralOp), with the same
-	// per-line block-Jacobi preconditioner built directly from the device
-	// slots. Memory drops from O((N1·N2·n)²) to O(N1·N2·n).
+	// Linear selects the inner linear solver. LinearMatrixFree replaces the
+	// global dense LU (O((N1·N2·n)³) per factorization) with GMRESDR over a
+	// Jacobian that is never assembled at all: it applies through the
+	// spectral-differentiation FFT plans and the per-point device blocks
+	// (see SpectralOp), preconditioned by block-Jacobi over the per-t2-line
+	// systems built directly from the device slots — the scalable path for
+	// fine grids. Memory drops from O((N1·N2·n)²) to O(N1·N2·n).
 	Linear   LinearKind
 	GMRESTol float64 // default 1e-10
-	// RecycleKrylov (iterative Linear kinds only) carries a GCRO-DR deflation space
-	// across the global solve's GMRES calls; see
+	// RecycleKrylov (LinearMatrixFree only) carries a GCRO-DR deflation
+	// space across the global solve's GMRES calls; see
 	// EnvelopeOptions.RecycleKrylov. The space is dropped at every Jacobian
 	// refresh (it is exact only for the linearization it was harvested
 	// from), so it pays inside factorization-reuse windows — i.e. with
@@ -307,7 +305,7 @@ func Quasiperiodic(sys dae.Autonomous, t2Period float64, guess *QPGuess, opt QPO
 	}
 	var rec *krylov.Recycler
 	adoptedRec := false
-	if opt.RecycleKrylov && (opt.Linear == LinearGMRES || opt.Linear == LinearMatrixFree) {
+	if opt.RecycleKrylov && opt.Linear == LinearMatrixFree {
 		if opt.Warm != nil && opt.Warm.Rec != nil && opt.Warm.Rec.Size() > 0 {
 			// Warm continuation: adopt the neighboring point's deflation
 			// space untrusted; it gets one verified window below.
@@ -398,7 +396,7 @@ func Quasiperiodic(sys dae.Autonomous, t2Period float64, guess *QPGuess, opt QPO
 			if err != nil {
 				return nil, err
 			}
-			lad.resetMatrixFree(mfOp, prec, mfOp.assembleSparse)
+			lad.reset(mfOp, prec, mfOp.assembleSparse)
 			return lad, nil
 		}
 		par.For(total, 64, func(lo, hi int) {
@@ -467,18 +465,6 @@ func Quasiperiodic(sys dae.Autonomous, t2Period float64, guess *QPGuess, opt QPO
 				}
 			}
 		})
-		if opt.Linear == LinearGMRES {
-			// One block per t2 line (N1·n unknowns): the stiff t1 coupling
-			// lives inside a line, so line solves make an effective
-			// preconditioner; the D2 cross-line coupling and the bordered
-			// ω rows are left to the Krylov iteration.
-			prec, err := krylov.NewBlockJacobi(jj, N1*n)
-			if err != nil {
-				return nil, err
-			}
-			lad.reset(jj, prec)
-			return lad, nil
-		}
 		if err := flu.FactorInto(jj); err != nil {
 			return nil, err
 		}
@@ -572,7 +558,7 @@ func Quasiperiodic(sys dae.Autonomous, t2Period float64, guess *QPGuess, opt QPO
 		res.GMRESBreakdowns = linSt.breakdowns
 		res.LinearGMRESRescues = linSt.gmresRescues
 		res.LinearLURescues = linSt.luRescues
-		res.LinearSparseLURescues = linSt.sparseRescues
+		res.LinearSparseLURescues = linSt.luRescues
 		res.FullNewtonRescues = nlSt.fullRescues
 		res.DampedNewtonRescues = nlSt.deepRescues
 		res.ContinuationRescues = nlSt.continuationRescues

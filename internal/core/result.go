@@ -28,7 +28,7 @@ type EnvelopeResult struct {
 	// chord factorization instead (see EnvelopeOptions.ChordNewton).
 	JacobianEvals  int
 	JacobianReuses int
-	// Iterative-path accounting (LinearGMRES only; zero under dense LU):
+	// Iterative-path accounting (LinearMatrixFree only; zero under dense LU):
 	// GMRESMatVecs is the total operator applications across GMRESSolves
 	// linear solves, the headline cost of the iterative path. The Recycle*
 	// counters report the Krylov subspace recycler's activity (see
@@ -47,9 +47,9 @@ type EnvelopeResult struct {
 	GMRESBreakdowns    int // iterative solves that broke down
 	LinearGMRESRescues int // linear rung 2: deflation-free GMRES restarts
 	LinearLURescues    int // linear rung 3: direct factorization fallbacks
-	// LinearSparseLURescues counts the subset of LinearLURescues that ran
-	// through the sparse LU — matrix-free operators, and assembled systems
-	// past the dense-rescue size threshold (see LinearMatrixFree).
+	// LinearSparseLURescues counts the LinearLURescues that ran through the
+	// sparse LU. The ladder's direct rung is always sparse, so the two are
+	// equal; both stay in the result because callers report both.
 	LinearSparseLURescues int
 	FullNewtonRescues     int // nonlinear rung 2: full Newton after chord
 	DampedNewtonRescues   int // nonlinear rung 3: deep damped Newton

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/krylov"
 	"repro/internal/la"
-	"repro/internal/newton"
 	"repro/internal/solverr"
 	"repro/internal/sparse"
 )
@@ -25,42 +24,34 @@ type linearStats struct {
 	solves, matvecs         int
 	stagnations, breakdowns int // iterative-rung failures observed
 	gmresRescues, luRescues int // rungs entered after a failure
-	sparseRescues           int // direct rescues that ran through sparse LU
-	exhausted               int // ladders that failed every rung
 }
 
 // linearLadder adapts the iterative Krylov solvers to newton.LinearSolveErr
 // with escalation: recycled GMRESDR first, deflation-free GMRES on failure,
-// and a direct factorization as the last rung. It is the supervised
+// and a sparse direct factorization as the last rung. It is the supervised
 // replacement for the old gmresSolver adapter, which discarded the GMRESDR
 // error entirely and handed Newton whatever partial iterate the stagnated
 // solve left behind.
 //
-// The operator is a krylov.Operator, so the ladder serves both the
-// assembled-matrix path (reset, where the dense Jacobian also backs the
-// direct rung) and the matrix-free path (resetMatrixFree, where the direct
-// rung assembles the entries sparsely on demand). At large dimension the
-// direct rescue runs through the sparse LU instead of dense — the dense
-// O(n³) fallback was exactly the wall the matrix-free path exists to avoid,
-// and a rescue rung that rebuilt it would make every large-N failure
-// pathological.
+// The operator is matrix-free (SpectralOp); the direct rung asks it to emit
+// its entries into a triplet on demand and factors them with the sparse LU.
+// A dense O(n³) fallback would rebuild exactly the wall the matrix-free
+// path exists to avoid and make every large-N failure pathological.
 //
 // The ladder is persistent (one per assembler/solve): the Krylov workspace
-// and the fallback factors (dense or sparse, including the sparse symbolic
-// pattern) are pooled across solves, so the unarmed hot path allocates
-// nothing after warmup.
+// and the sparse fallback factors (including the symbolic pattern) are
+// pooled across solves, so the unarmed hot path allocates nothing after
+// warmup.
 type linearLadder struct {
 	op      krylov.Operator
-	dense   *la.Dense                // assembled Jacobian; nil on the matrix-free path
-	asm     func(tr *sparse.Triplet) // sparse assembly for the direct rung (matrix-free path)
+	asm     func(tr *sparse.Triplet) // sparse assembly for the direct rung
 	prec    krylov.Preconditioner
 	tol     float64
 	rec     *krylov.Recycler // nil when recycling is off
 	ws      *krylov.Workspace
-	lu      *la.LU // dense direct-solve rung, sized lazily
 	trip    *sparse.Triplet
 	slu     *sparse.LU // sparse direct-solve rung; symbolic pattern reused
-	restart int        // GMRES restart length; 0 keeps the krylov default
+	restart int        // GMRES restart length
 	stats   *linearStats
 }
 
@@ -68,19 +59,13 @@ type linearLadder struct {
 // adapter's budget.
 const gmresLadderMaxIter = 400
 
-// sparseRescueThreshold is the system size above which the ladder's direct
-// rescue abandons dense LU for the sparse factorization. Below it the dense
-// rung is bitwise the historical fallback (and at the paper's sizes, faster);
-// above it the dense O(n³)+O(n²) memory cost stops being a rescue at all.
-const sparseRescueThreshold = 600
-
 // Matrix-free restart sizing: GMRES(50) is plenty at the paper's sizes, but
 // on large bordered systems the harmonic preconditioner weakens (the t1-
 // averaged JF misses ever-stronger waveform-dependent conductance as the
-// circuit grows) and a 50-vector cycle stagnates. The matrix-free path
-// therefore scales the restart length with the operator dimension — an extra
-// basis vector costs O(total) memory, nothing next to the dense Jacobian the
-// path exists to avoid. The dense path keeps the historical default.
+// circuit grows) and a 50-vector cycle stagnates. The ladder therefore
+// scales the restart length with the operator dimension — an extra basis
+// vector costs O(total) memory, nothing next to the dense Jacobian the path
+// exists to avoid.
 const (
 	matFreeRestartMax = 200
 	matFreeRestartDiv = 8
@@ -101,23 +86,11 @@ func newLinearLadder(tol float64, rec *krylov.Recycler, stats *linearStats) *lin
 	return &linearLadder{tol: tol, rec: rec, ws: krylov.NewWorkspace(), stats: stats}
 }
 
-// reset points the ladder at a freshly assembled Jacobian and its
-// preconditioner (called from jac(); the matrix memory is reused, so only
-// the references change).
-func (g *linearLadder) reset(m *la.Dense, prec krylov.Preconditioner) {
-	g.op = krylov.DenseOp{M: m}
-	g.dense = m
-	g.asm = nil
-	g.prec = prec
-	g.restart = 0
-}
-
-// resetMatrixFree points the ladder at a matrix-free operator; asm emits the
+// reset points the ladder at a matrix-free operator; asm emits the
 // operator's entries into a triplet when (and only when) the direct-rescue
 // rung needs a factorization.
-func (g *linearLadder) resetMatrixFree(op krylov.Operator, prec krylov.Preconditioner, asm func(tr *sparse.Triplet)) {
+func (g *linearLadder) reset(op krylov.Operator, prec krylov.Preconditioner, asm func(tr *sparse.Triplet)) {
 	g.op = op
-	g.dense = nil
 	g.asm = asm
 	g.prec = prec
 	g.restart = matFreeRestart(op.Dim())
@@ -132,7 +105,7 @@ func (g *linearLadder) note(err error) {
 	}
 }
 
-// SolveErr runs the ladder: GMRESDR → deflation-free GMRES → direct LU.
+// SolveErr runs the ladder: GMRESDR → deflation-free GMRES → sparse LU.
 // A rung that fails is counted, the next one starts from scratch, and only
 // when every rung has failed does the (structured, trail-carrying) error
 // reach Newton.
@@ -166,30 +139,11 @@ func (g *linearLadder) SolveErr(b, x []float64) error {
 	g.note(err)
 	secondErr := err
 
-	// Rung 3: a direct factorization — the rung of last resort before
+	// Rung 3: a sparse direct factorization — the rung of last resort before
 	// Newton-level rescue, trading factorization work for a guaranteed
-	// direction whenever the Jacobian is nonsingular. Small assembled
-	// systems keep the historical dense LU bitwise; large or matrix-free
-	// systems go through the sparse LU (see sparseRescueThreshold).
+	// direction whenever the Jacobian is nonsingular.
 	g.stats.luRescues++
-	n := g.op.Dim()
-	if g.dense != nil && n <= sparseRescueThreshold {
-		if g.lu == nil || g.lu.N() != n {
-			g.lu = la.NewLU(n)
-		}
-		if ferr := g.lu.FactorInto(g.dense); ferr != nil {
-			g.stats.exhausted++
-			e := solverr.Wrap(propagateLadderKind(ferr), "core.linear", ferr).
-				WithMsg("linear ladder exhausted (gmresdr: %v; gmres: %v)", firstErr, secondErr)
-			e.Attempt("gmresdr").Attempt("gmres").Attempt("dense-lu")
-			return e
-		}
-		g.lu.Solve(b, x)
-		return nil
-	}
-	g.stats.sparseRescues++
-	if ferr := g.sparseFactor(n); ferr != nil {
-		g.stats.exhausted++
+	if ferr := g.sparseFactor(g.op.Dim()); ferr != nil {
 		e := solverr.Wrap(propagateLadderKind(ferr), "core.linear", ferr).
 			WithMsg("linear ladder exhausted (gmresdr: %v; gmres: %v)", firstErr, secondErr)
 		e.Attempt("gmresdr").Attempt("gmres").Attempt("sparse-lu")
@@ -200,26 +154,14 @@ func (g *linearLadder) SolveErr(b, x []float64) error {
 }
 
 // sparseFactor assembles the current operator sparsely and (re)factors it,
-// reusing the symbolic pattern when the structure is unchanged. On the
-// assembled path the triplet is gathered from the dense rows (skipping
-// zeros); on the matrix-free path the operator's own assembly emits exactly
-// the entries its Apply evaluates.
+// reusing the symbolic pattern when the structure is unchanged. The
+// operator's own assembly emits exactly the entries its Apply evaluates.
 func (g *linearLadder) sparseFactor(n int) error {
 	if g.trip == nil || g.trip.Rows != n {
 		g.trip = sparse.NewTriplet(n, n)
 	}
 	g.trip.Reset()
-	if g.asm != nil {
-		g.asm(g.trip)
-	} else {
-		for r := 0; r < n; r++ {
-			for c, v := range g.dense.Row(r) {
-				if v != 0 {
-					g.trip.Add(r, c, v)
-				}
-			}
-		}
-	}
+	g.asm(g.trip)
 	csr := g.trip.ToCSR()
 	if g.slu != nil && g.slu.N() == n {
 		err := g.slu.Refactor(csr)
@@ -269,24 +211,4 @@ func checkState(stage string, x []float64) error {
 			"state became non-finite (%v)", x[i]).WithUnknown(i)
 	}
 	return nil
-}
-
-// ctxErr converts a context cancellation into the taxonomy (nil context and
-// live contexts return nil).
-func ctxErr(stage string, done func() error) error {
-	if done == nil {
-		return nil
-	}
-	if err := done(); err != nil {
-		return solverr.Wrap(solverr.KindCanceled, stage, err)
-	}
-	return nil
-}
-
-// chordRescue is the shared "chord failed" bookkeeping: drop the cached
-// factorization and any recycled Krylov space so the next rung starts from a
-// fresh linearization.
-func chordRescue(reuse *newton.ReuseState, rec *krylov.Recycler) {
-	reuse.Invalidate()
-	rec.Invalidate()
 }

@@ -28,7 +28,8 @@ import (
 //   - SiteGMRESStagnate fires once per linear-ladder rung-1 call (GMRESDR
 //     without a recycler delegates to GMRES before its own site check), so
 //     Times(1) exercises the deflation-free GMRES rescue and Times(2) the
-//     direct dense-LU rung.
+//     direct sparse-LU rung (on the matrix-free path, the one that runs the
+//     ladder).
 //
 // Plans are armed only after InitialCondition: the IC's own transient and
 // shooting Newton solves would otherwise consume the planned firings.
@@ -152,7 +153,7 @@ func TestFaultNewtonPersistentFailureReportsTrail(t *testing.T) {
 
 func TestFaultGMRESRescue(t *testing.T) {
 	plan := faultinject.NewPlan().Fail(faultinject.SiteGMRESStagnate, faultinject.Times(1))
-	res, err := supervisedEnvelope(t, plan, EnvelopeOptions{Linear: LinearGMRES})
+	res, err := supervisedEnvelope(t, plan, EnvelopeOptions{Linear: LinearMatrixFree})
 	requireHealthy(t, res, err)
 	if res.LinearGMRESRescues != 1 || res.LinearLURescues != 0 {
 		t.Fatalf("linear rescues (gmres, lu) = (%d, %d), want (1, 0)",
@@ -163,27 +164,11 @@ func TestFaultGMRESRescue(t *testing.T) {
 	}
 }
 
-func TestFaultGMRESDoubleFailureLURescue(t *testing.T) {
-	plan := faultinject.NewPlan().Fail(faultinject.SiteGMRESStagnate, faultinject.Times(2))
-	res, err := supervisedEnvelope(t, plan, EnvelopeOptions{Linear: LinearGMRES})
-	requireHealthy(t, res, err)
-	if res.LinearGMRESRescues != 1 || res.LinearLURescues != 1 {
-		t.Fatalf("linear rescues (gmres, lu) = (%d, %d), want (1, 1)",
-			res.LinearGMRESRescues, res.LinearLURescues)
-	}
-	if res.GMRESStagnations != 2 {
-		t.Fatalf("GMRESStagnations = %d, want 2", res.GMRESStagnations)
-	}
-	if res.FullNewtonRescues != 0 {
-		t.Fatalf("FullNewtonRescues = %d, want 0 (the linear ladder must absorb the failure)", res.FullNewtonRescues)
-	}
-}
-
 func TestFaultGMRESAlwaysFailsStillConverges(t *testing.T) {
 	// With the iterative rungs permanently broken, every solve must land on
-	// the direct dense-LU rung — and the run must still complete cleanly.
+	// the direct sparse-LU rung — and the run must still complete cleanly.
 	plan := faultinject.NewPlan().Fail(faultinject.SiteGMRESStagnate, faultinject.Always())
-	res, err := supervisedEnvelope(t, plan, EnvelopeOptions{Linear: LinearGMRES})
+	res, err := supervisedEnvelope(t, plan, EnvelopeOptions{Linear: LinearMatrixFree})
 	requireHealthy(t, res, err)
 	if res.GMRESSolves == 0 {
 		t.Fatal("no linear solves recorded")
@@ -200,8 +185,8 @@ func TestFaultLinearLadderExhaustedTrail(t *testing.T) {
 	// with the complete recovery trail.
 	plan := faultinject.NewPlan().
 		Fail(faultinject.SiteGMRESStagnate, faultinject.Always()).
-		Fail(faultinject.SiteDenseLUSingular, faultinject.Always())
-	_, err := supervisedEnvelope(t, plan, EnvelopeOptions{Linear: LinearGMRES})
+		Fail(faultinject.SiteSparseLUSingular, faultinject.Always())
+	_, err := supervisedEnvelope(t, plan, EnvelopeOptions{Linear: LinearMatrixFree})
 	if err == nil {
 		t.Fatal("want an error when every linear rung fails")
 	}
@@ -209,7 +194,7 @@ func TestFaultLinearLadderExhaustedTrail(t *testing.T) {
 		t.Fatalf("error chain should carry the singular classification: %v", err)
 	}
 	trail := strings.Join(solverr.TrailOf(err), " ")
-	for _, rung := range []string{"gmresdr", "gmres", "dense-lu", "chord", "continuation"} {
+	for _, rung := range []string{"gmresdr", "gmres", "sparse-lu", "chord", "continuation"} {
 		if !strings.Contains(trail, rung) {
 			t.Fatalf("recovery trail %q missing rung %q", trail, rung)
 		}
